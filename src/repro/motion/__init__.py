@@ -6,6 +6,7 @@ from .heading import (
     mean_compass_heading,
 )
 from .kalman_heading import KalmanHeadingFilter, fused_course_from_segment
+from .kernel import SegmentAnalysis, analyze_segments
 from .pedestrian import (
     BodyProfile,
     Pedestrian,
@@ -19,6 +20,7 @@ from .step_counting import (
     count_steps_csc,
     count_steps_dsc,
     detect_step_times,
+    find_peaks,
     is_walking,
 )
 from .trace import TraceHop, WalkTrace
@@ -29,6 +31,8 @@ __all__ = [
     "mean_compass_heading",
     "KalmanHeadingFilter",
     "fused_course_from_segment",
+    "SegmentAnalysis",
+    "analyze_segments",
     "BodyProfile",
     "Pedestrian",
     "random_walk_path",
@@ -42,6 +46,7 @@ __all__ = [
     "segment_at_turns",
     "count_steps_dsc",
     "detect_step_times",
+    "find_peaks",
     "is_walking",
     "TraceHop",
     "WalkTrace",

@@ -30,10 +30,17 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.fingerprint import RSS_CEILING_DBM, RSS_FLOOR_DBM, Fingerprint
+from ..motion.kernel import FLAT_LINE_ACCEL_STD, MAX_CREDIBLE_HEADING_STEP_DEG
 from ..sensors.imu import ImuSegment
 from .health import FaultType
 
-__all__ = ["ImuCheck", "SanitizedScan", "ScanSanitizer", "check_imu"]
+__all__ = [
+    "ImuCheck",
+    "SanitizedScan",
+    "ScanSanitizer",
+    "check_imu",
+    "imu_check_for",
+]
 
 
 @dataclass(frozen=True)
@@ -205,24 +212,6 @@ class ScanSanitizer:
         )
 
 
-_FLAT_LINE_ACCEL_STD = 1e-6
-"""Accelerometer-magnitude standard deviation (m/s²) below which the
-stream is a flat line no physical sensor produces.  A dead register
-repeats one value exactly (std 0.0), while even the quietest MEMS
-accelerometer resting on a table shows thermal noise orders of magnitude
-above this; a standing user's quiescent noise (~0.008 m/s²) must not be
-vetoed as a dropout — standing still is legitimate motion state, not a
-sensor fault."""
-
-_MAX_CREDIBLE_HEADING_STEP_DEG = 40.0
-"""Mean absolute heading change between consecutive compass readings
-(degrees) above which the stream is spoofed: a walking pedestrian's
-readings wander by per-reading noise (a few degrees) around one course,
-while a forged stream that whips the heading every reading shows mean
-steps of the oscillation amplitude.  Clean synthetic segments sit well
-under 10°; the margin keeps honest noisy compasses out of quarantine."""
-
-
 class ImuCheck(NamedTuple):
     """The outcome of :func:`check_imu`, with the tripping check named.
 
@@ -242,8 +231,25 @@ class ImuCheck(NamedTuple):
     tripped: Optional[str]
 
 
+def imu_check_for(tripped: Optional[str]) -> ImuCheck:
+    """The :class:`ImuCheck` of a segment whose check ``tripped`` fired.
+
+    The heading-rate veto reports :data:`FaultType.IMU_SPOOF`, every
+    other check :data:`FaultType.IMU_DROPOUT`; None means usable.  Maps
+    the verdicts of :func:`repro.motion.kernel.analyze_segments` too.
+    """
+    if tripped is None:
+        return ImuCheck(True, (), None)
+    if tripped == "heading-rate":
+        return ImuCheck(False, (FaultType.IMU_SPOOF,), tripped)
+    return ImuCheck(False, (FaultType.IMU_DROPOUT,), tripped)
+
+
 def check_imu(imu: Optional[ImuSegment]) -> ImuCheck:
     """Whether an IMU segment is credible enough to extract motion from.
+
+    The per-segment form of the checks
+    :func:`repro.motion.kernel.analyze_segments` runs for a whole tick.
 
     Returns:
         An :class:`ImuCheck` — ``usable`` is False for a missing
@@ -254,17 +260,17 @@ def check_imu(imu: Optional[ImuSegment]) -> ImuCheck:
         that fired.
     """
     if imu is None:
-        return ImuCheck(False, (FaultType.IMU_DROPOUT,), "missing")
+        return imu_check_for("missing")
     samples = np.asarray(imu.accel.samples, dtype=float)
     readings = np.asarray(imu.compass_readings, dtype=float)
     if samples.size == 0 or readings.size == 0:
-        return ImuCheck(False, (FaultType.IMU_DROPOUT,), "empty")
+        return imu_check_for("empty")
     if not np.isfinite(samples).all() or not np.isfinite(readings).all():
-        return ImuCheck(False, (FaultType.IMU_DROPOUT,), "non-finite")
-    if float(samples.std()) < _FLAT_LINE_ACCEL_STD:
-        return ImuCheck(False, (FaultType.IMU_DROPOUT,), "flat-line")
+        return imu_check_for("non-finite")
+    if float(samples.std()) < FLAT_LINE_ACCEL_STD:
+        return imu_check_for("flat-line")
     if readings.size >= 2:
         steps = np.abs((np.diff(readings) + 180.0) % 360.0 - 180.0)
-        if float(steps.mean()) > _MAX_CREDIBLE_HEADING_STEP_DEG:
-            return ImuCheck(False, (FaultType.IMU_SPOOF,), "heading-rate")
-    return ImuCheck(True, (), None)
+        if float(steps.mean()) > MAX_CREDIBLE_HEADING_STEP_DEG:
+            return imu_check_for("heading-rate")
+    return imu_check_for(None)

@@ -40,6 +40,7 @@ from ..core.fingerprint import FingerprintDatabase
 from ..core.matching import Candidate
 from ..core.motion_db import MotionDatabase
 from ..env.floorplan import FloorPlan
+from ..motion.kernel import analyze_segments
 from ..motion.pedestrian import BodyProfile
 from ..motion.rlm import MotionMeasurement
 from ..observability import MetricsRegistry
@@ -48,7 +49,7 @@ from ..service import MoLocService, PrecomputedInputs, PreparedInterval
 from .calibration import CalibrationMonitor
 from .fallback import choose_mode, coast
 from .health import FaultType, HealthStatus, ResilientFix, ServingMode
-from .sanitizer import SanitizedScan, ScanSanitizer, check_imu
+from .sanitizer import SanitizedScan, ScanSanitizer, check_imu, imu_check_for
 from .trust import ApTrustMonitor
 from .watchdog import DivergenceWatchdog, WatchdogAction
 
@@ -347,6 +348,7 @@ class ResilientMoLocService(MoLocService):
                 else:
                     active_aps = combined
 
+        analysis = None
         if imu is None:
             imu_usable = False
             if self._fix_count > 0:
@@ -358,7 +360,14 @@ class ResilientMoLocService(MoLocService):
             if precomputed is not None and precomputed.imu_check is not None:
                 imu_check = precomputed.imu_check
             else:
-                imu_check = check_imu(imu)
+                # One pass over the segment serves the check and the
+                # motion extraction below.
+                analysis = analyze_segments([imu])[0]
+                imu_check = (
+                    check_imu(imu)
+                    if analysis is None
+                    else imu_check_for(analysis.tripped)
+                )
             imu_usable = imu_check[0]
             faults.extend(imu_check[1])
 
@@ -374,7 +383,7 @@ class ResilientMoLocService(MoLocService):
                 measurement, steps = precomputed.motion
                 self._last_steps = steps
             else:
-                measurement = self._motion_from(imu)
+                measurement = self._motion_from(imu, analysis)
         else:
             # Satellite-fix semantics: without step counts this interval,
             # stride personalization must not pair the upcoming hop with a

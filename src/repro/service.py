@@ -37,6 +37,7 @@ from .core.matching import Candidate
 from .core.motion_db import MotionDatabase
 from .motion.heading import estimate_placement_offset
 from .motion.kalman_heading import fused_course_from_segment
+from .motion.kernel import SegmentAnalysis, analyze_segments
 from .motion.pedestrian import BodyProfile
 from .motion.rlm import MotionMeasurement
 from .motion.stride import StepLengthEstimator
@@ -455,7 +456,7 @@ class MoLocService:
                 self._speed = SpeedEstimator(self._config)
 
     def extract_motion(
-        self, imu: ImuSegment
+        self, imu: ImuSegment, analysis: Optional[SegmentAnalysis] = None
     ) -> Tuple[Optional[MotionMeasurement], Optional[float]]:
         """Pure motion extraction: ``(measurement, steps)`` for a segment.
 
@@ -464,6 +465,13 @@ class MoLocService:
         flag — exactly the key the serving engine memoizes on when many
         sessions replay the same recorded segment.
 
+        Args:
+            imu: The segment.
+            analysis: The segment's walking test and step count from
+                :func:`~repro.motion.kernel.analyze_segments` when the
+                caller already ran it (the serving engine runs it once
+                per tick); run here for this one segment otherwise.
+
         Raises:
             RuntimeError: if heading calibration has not run.
         """
@@ -471,11 +479,18 @@ class MoLocService:
             raise RuntimeError(
                 "heading calibration has not run; call calibrate_heading first"
             )
-        if not is_walking(imu.accel):
+        if analysis is None:
+            analysis = analyze_segments([imu])[0]
+        if analysis is not None:
+            walking, steps = analysis.walking, analysis.steps
+        else:
+            # A segment the kernel leaves alone: per-segment functions.
+            walking = is_walking(imu.accel)
+            steps = count_steps_csc(imu.accel) if walking else None
+        if not walking:
             # Standing still: an explicit zero-offset measurement lets the
             # localizer prefer the self-transition.
             return MotionMeasurement(direction_deg=0.0, offset_m=0.0), None
-        steps = count_steps_csc(imu.accel)
         if self._use_gyro_fusion and imu.gyro_rates_dps is not None:
             direction = fused_course_from_segment(imu, self._placement_offset_deg)
         else:
@@ -501,7 +516,9 @@ class MoLocService:
         )
         return measurement, steps
 
-    def _motion_from(self, imu: ImuSegment) -> Optional[MotionMeasurement]:
-        measurement, steps = self.extract_motion(imu)
+    def _motion_from(
+        self, imu: ImuSegment, analysis: Optional[SegmentAnalysis] = None
+    ) -> Optional[MotionMeasurement]:
+        measurement, steps = self.extract_motion(imu, analysis)
         self._last_steps = steps
         return measurement

@@ -4,12 +4,15 @@ One deployment server hosts many concurrent user sessions.  Served
 naively, each session pays the full per-interval pipeline alone; this
 engine multiplexes them through a single vectorized step per tick:
 
-1. **prepare** — each session triages its own inputs
+1. **prepare** — one numpy pass
+   (:func:`~repro.motion.kernel.analyze_segments`) runs the IMU checks,
+   walking tests and CSC step counts of every segment in the tick; then
+   each session triages its own inputs
    (:meth:`~repro.service.MoLocService.prepare_interval`): sanitization,
-   IMU checks, mode selection, motion extraction.  Motion extraction and
-   IMU checks are pure in the segment (plus calibration state), so the
-   engine memoizes them across sessions — concurrent users replaying
-   the same recorded walk share the work.
+   mode selection, motion extraction from the pass's results.  Motion
+   extraction and IMU checks are pure in the segment (plus calibration
+   state), so the engine memoizes them across sessions — concurrent
+   users replaying the same recorded walk share the work.
 2. **match** — all prepared fingerprints stack into one ``(B, L, A)``
    tensor and reduce with a single einsum against the cached mean
    matrix (:class:`~repro.serving.scheduler.BatchMatcher`), behind a
@@ -66,6 +69,7 @@ from ..core.matching import Candidate
 from ..core.motion_db import MotionDatabase
 from ..db.epochs import EpochSnapshot, EpochalDatabase, Update
 from ..io.serialize import fix_from_dict, fix_to_dict
+from ..motion.kernel import SegmentAnalysis, analyze_segments
 from ..observability import (
     DEFAULT_BYTE_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
@@ -75,7 +79,7 @@ from ..observability import (
     TickProfile,
 )
 from ..robustness.health import FaultType, ServingMode
-from ..robustness.sanitizer import check_imu
+from ..robustness.sanitizer import check_imu, imu_check_for
 from ..robustness.service import ResilientMoLocService, ResilientPreparedInterval
 from ..sensors.imu import ImuSegment
 from ..service import MoLocService, PrecomputedInputs, PreparedInterval
@@ -900,6 +904,7 @@ class BatchedServingEngine:
         # sessions are skipped until their backoff expires (the retry
         # is simply their next event), stale ones are dropped.
         with self.tracer.span("prepare"):
+            analyses = self._analyze(events)
             for slot, event in enumerate(events):
                 if event.session_id not in self.sessions:
                     unroutable.append(event.session_id)
@@ -928,7 +933,9 @@ class BatchedServingEngine:
                 try:
                     if self.fault_injector is not None:
                         self.fault_injector("prepare", event.session_id)
-                    precomputed = self._precompute(record.service, event.imu)
+                    precomputed = self._precompute(
+                        record.service, event.imu, analyses.get(id(event.imu))
+                    )
                     prepared_list[slot] = record.service.prepare_interval(
                         event.scan, event.imu, precomputed=precomputed
                     )
@@ -1185,16 +1192,32 @@ class BatchedServingEngine:
             del self._ref_pins[segment_id]
             del self._motion_refs[segment_id]
 
+    @staticmethod
+    def _analyze(
+        events: Sequence[IntervalEvent],
+    ) -> Dict[int, Optional[SegmentAnalysis]]:
+        """The tick's segments through one kernel pass, keyed by id().
+
+        The kernel never raises; a segment it leaves alone (None) takes
+        the per-segment path inside its own session's fault barrier.
+        """
+        segments = {id(e.imu): e.imu for e in events if e.imu is not None}
+        return dict(zip(segments, analyze_segments(list(segments.values()))))
+
     def _precompute(
-        self, service: MoLocService, imu: Optional[ImuSegment]
+        self,
+        service: MoLocService,
+        imu: Optional[ImuSegment],
+        analysis: Optional[SegmentAnalysis] = None,
     ) -> Optional[PrecomputedInputs]:
         """Memoized IMU check + motion extraction for one session's segment.
 
-        Both memos are LRU: a full memo evicts its single oldest entry
-        (releasing that entry's ref pin) before inserting — entries
-        inserted for the current segment are therefore never collateral
-        damage, and cross-session sharing survives the capacity
-        boundary.
+        ``analysis`` is the segment's row of the tick's kernel pass; when
+        it is None the per-segment functions run instead.  Both memos
+        are LRU: a full memo evicts its single oldest entry (releasing
+        that entry's ref pin) before inserting — entries inserted for
+        the current segment are therefore never collateral damage, and
+        cross-session sharing survives the capacity boundary.
         """
         if imu is None or self._motion_memo_size == 0:
             return None
@@ -1204,7 +1227,11 @@ class BatchedServingEngine:
             self._imu_checks.move_to_end(segment_id)
             self._c_imu_hits.inc()
         else:
-            imu_check = check_imu(imu)
+            imu_check = (
+                check_imu(imu)
+                if analysis is None
+                else imu_check_for(analysis.tripped)
+            )
             if len(self._imu_checks) >= self._motion_memo_size:
                 evicted_id, _ = self._imu_checks.popitem(last=False)
                 self._unpin(evicted_id)
@@ -1222,7 +1249,7 @@ class BatchedServingEngine:
                 self._motion_memo.move_to_end(key)
                 self._c_motion_hits.inc()
             else:
-                motion = service.extract_motion(imu)
+                motion = service.extract_motion(imu, analysis)
                 if len(self._motion_memo) >= self._motion_memo_size:
                     evicted_key, _ = self._motion_memo.popitem(last=False)
                     self._unpin(evicted_key[0])
