@@ -5,8 +5,8 @@ hundreds of concurrent sessions against one fingerprint/motion database
 pair.  This bench drives seeded corpus-replay workloads at 1, 16, 64,
 and 256 concurrent sessions through both serving paths — per-session
 ``on_interval`` calls, and the :class:`~repro.serving.BatchedServingEngine`
-that stacks every pending query into one einsum and reuses Eq. 6/7 work
-across sessions — and reports session-intervals/second, per-tick latency
+that stacks every pending query into one einsum and computes Eq. 4/6/7
+for the whole tick in one array pass — and reports session-intervals/second, per-tick latency
 percentiles, and the speedup at each concurrency level.
 
 Asserted, not just reported:

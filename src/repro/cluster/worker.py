@@ -147,14 +147,19 @@ class ShardWorker:
     # ------------------------------------------------------------------
 
     def write_checkpoint(self) -> None:
-        """Atomically persist the engine's current checkpoint."""
-        document = self.engine.checkpoint()
+        """Atomically persist the engine's current checkpoint.
+
+        The engine's own encoding goes to disk in one write: the
+        streaming ``json.dump`` would encode the document a second time
+        in thousands of small writes.
+        """
+        encoded = self.engine.encode_checkpoint()
         tmp = self._checkpoint_path.with_suffix(
             self._checkpoint_path.suffix + ".tmp"
         )
         tmp.parent.mkdir(parents=True, exist_ok=True)
         with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True)
+            handle.write(encoded)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self._checkpoint_path)

@@ -32,6 +32,7 @@ from ..env.geometry import (
     circular_std,
 )
 from ..motion.rlm import MotionMeasurement, RlmObservation
+from ..numeric import left_sum
 from .config import MoLocConfig
 from .motion_db import MotionDatabase, PairStatistics
 
@@ -148,8 +149,8 @@ class MotionDatabaseBuilder:
         offsets = [m.offset_m for m in measurements]
         mu_d = circular_mean(directions)
         sigma_d = max(circular_std(directions), self.config.min_direction_std_deg)
-        mu_o = sum(offsets) / len(offsets)
-        variance = sum((o - mu_o) ** 2 for o in offsets) / len(offsets)
+        mu_o = left_sum(offsets) / len(offsets)
+        variance = left_sum((o - mu_o) ** 2 for o in offsets) / len(offsets)
         sigma_o = max(variance**0.5, self.config.min_offset_std_m)
 
         limit = self.config.fine_sigma_multiplier
@@ -165,8 +166,8 @@ class MotionDatabaseBuilder:
         """Fit the stored Gaussian quadruple to sanitized measurements."""
         directions = [m.direction_deg for m in measurements]
         offsets = [m.offset_m for m in measurements]
-        mu_o = sum(offsets) / len(offsets)
-        variance = sum((o - mu_o) ** 2 for o in offsets) / len(offsets)
+        mu_o = left_sum(offsets) / len(offsets)
+        variance = left_sum((o - mu_o) ** 2 for o in offsets) / len(offsets)
         return PairStatistics(
             direction_mean_deg=circular_mean(directions),
             direction_std_deg=max(

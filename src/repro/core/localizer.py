@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..motion.rlm import MotionMeasurement
+from ..numeric import left_sum
 from .config import MoLocConfig
 from .fingerprint import Fingerprint, FingerprintDatabase
 from .matching import Candidate, select_candidates
@@ -160,11 +161,10 @@ class MoLocLocalizer:
         """Adopt an already-evaluated interval as this session's.
 
         Replays exactly the retention side effect :meth:`evaluate` would
-        have produced for the estimate.  The batched serving engine uses
-        this as its posterior cache: when another session has already
-        evaluated the identical (candidates, prior, motion) triple, the
-        shared (immutable) estimate is reused and only the per-session
-        state update runs.
+        have produced for the estimate.  The batched serving engine
+        evaluates Eq. 6/7 for a whole tick on arrays and hands each
+        session its row's estimate through this seam, so only the
+        per-session state update runs here.
         """
         if self.retention == "posterior":
             self._retained = [
@@ -224,11 +224,13 @@ class MoLocLocalizer:
     ) -> LocationEstimate:
         """Candidate evaluation (Eq. 6/7) over an already-matched set.
 
-        The second half of :meth:`locate`, split out so the batched
-        serving engine can supply candidates from its vectorized matcher
-        and Eq. 6 transition probabilities from its cached dense-tensor
-        evaluator while this method stays the single owner of posterior
-        normalization, retention, and tie-breaking.
+        The second half of :meth:`locate`, split out so callers can
+        supply candidates from a vectorized matcher and precomputed Eq. 6
+        transition probabilities.  It is the sequential reference for
+        posterior normalization, retention, and tie-breaking; the batched
+        serving engine's array pass
+        (:class:`~repro.serving.fusion.TickPosteriors`) reproduces it bit
+        for bit.
 
         Args:
             candidates: The Eq. 4 candidate set for this interval.
@@ -278,7 +280,7 @@ class MoLocLocalizer:
                 c.probability * t
                 for c, t in zip(candidates, transition_probabilities)
             ]
-            total = sum(weights)
+            total = left_sum(weights)
             if total > 0.0:
                 posteriors = [w / total for w in weights]
                 used_motion = True

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from ..numeric import left_sum
 from .fingerprint import Fingerprint, FingerprintDatabase
 
 __all__ = ["Candidate", "candidates_from_ranked", "select_candidates"]
@@ -39,11 +40,13 @@ def candidates_from_ranked(
 ) -> List[Candidate]:
     """Eq. 4 probabilities for an already-ranked nearest-candidate list.
 
-    The single source of truth for the inverse-dissimilarity weighting:
-    both the sequential :func:`select_candidates` path and the batched
-    serving engine's vectorized matcher rank locations first, then hand
-    the ``(location_id, dissimilarity)`` prefix here, so their
-    probabilities are computed by the same arithmetic in the same order.
+    The reference for the inverse-dissimilarity weighting: the
+    sequential :func:`select_candidates` path ranks locations first,
+    then hands the ``(location_id, dissimilarity)`` prefix here.  The
+    batched serving engine's matcher
+    (:class:`~repro.serving.scheduler.BatchMatcher`) runs the same
+    element-wise arithmetic, in the same order, on a whole tick's ranked
+    rows.
 
     Args:
         nearest: The ``k`` nearest ``(location_id, dissimilarity)`` pairs,
@@ -55,7 +58,7 @@ def candidates_from_ranked(
     if not nearest:
         raise ValueError("cannot build candidates from an empty ranking")
     inverse_weights = [1.0 / max(m, _EXACT_MATCH_EPSILON) for _, m in nearest]
-    total = sum(inverse_weights)
+    total = left_sum(inverse_weights)
     return [
         Candidate(location_id=lid, dissimilarity=m, probability=w / total)
         for (lid, m), w in zip(nearest, inverse_weights)

@@ -44,7 +44,6 @@ __all__ = [
     "direction_probability",
     "offset_probability",
     "pair_probability",
-    "pair_probability_from_parameters",
     "stay_probability",
     "set_transition_probability",
 ]
@@ -123,35 +122,6 @@ def pair_probability(
         stats, measurement.direction_deg, config.alpha_deg
     ) * offset_probability(
         stats, measurement.offset_m, config.beta_m, beta_scale
-    )
-
-
-def pair_probability_from_parameters(
-    direction_mean_deg: float,
-    direction_std_deg: float,
-    offset_mean_m: float,
-    offset_std_m: float,
-    direction_deg: float,
-    offset_m: float,
-    config: MoLocConfig,
-    beta_scale: float = 1.0,
-) -> float:
-    """Eq. 5 from raw Gaussian parameters instead of a stats object.
-
-    Bit-identical to :func:`pair_probability` on the same values — the
-    same helpers run in the same order — but callable straight off the
-    dense array view (:class:`~repro.core.motion_db.DenseMotionView`),
-    which is how the batched serving engine avoids constructing a
-    :class:`~repro.core.motion_db.PairStatistics` per lookup.
-    """
-    delta = _signed_direction_delta(direction_deg, direction_mean_deg)
-    return gaussian_interval_probability(
-        mean=0.0, std=direction_std_deg, center=delta, width=config.alpha_deg
-    ) * gaussian_interval_probability(
-        mean=offset_mean_m,
-        std=offset_std_m,
-        center=offset_m,
-        width=config.beta_m * beta_scale,
     )
 
 

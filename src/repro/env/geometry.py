@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Tuple
 
+from ..numeric import left_sum
+
 __all__ = [
     "Point",
     "Segment",
@@ -128,8 +130,9 @@ def circular_mean(bearings: Sequence[float]) -> float:
     """
     if len(bearings) == 0:
         raise ValueError("circular mean of no bearings is undefined")
-    sin_sum = sum(math.sin(math.radians(b)) for b in bearings)
-    cos_sum = sum(math.cos(math.radians(b)) for b in bearings)
+    radians = list(map(math.radians, bearings))
+    sin_sum = left_sum(map(math.sin, radians))
+    cos_sum = left_sum(map(math.cos, radians))
     if math.hypot(sin_sum, cos_sum) < 1e-12:
         raise ValueError("circular mean is undefined for uniformly opposed bearings")
     # Compass convention: atan2(sin-part, cos-part) with x/y swapped relative
@@ -146,8 +149,9 @@ def circular_std(bearings: Sequence[float]) -> float:
     """
     if len(bearings) == 0:
         raise ValueError("circular std of no bearings is undefined")
-    sin_mean = sum(math.sin(math.radians(b)) for b in bearings) / len(bearings)
-    cos_mean = sum(math.cos(math.radians(b)) for b in bearings) / len(bearings)
+    radians = list(map(math.radians, bearings))
+    sin_mean = left_sum(map(math.sin, radians)) / len(bearings)
+    cos_mean = left_sum(map(math.cos, radians)) / len(bearings)
     resultant = math.hypot(sin_mean, cos_mean)
     if resultant <= 1e-12:
         return 180.0

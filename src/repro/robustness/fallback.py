@@ -27,6 +27,7 @@ from ..core.localizer import EvaluatedCandidate, LocationEstimate
 from ..core.motion_db import MotionDatabase
 from ..core.motion_matching import set_transition_probability
 from ..motion.rlm import MotionMeasurement
+from ..numeric import left_sum
 from .health import ServingMode
 
 __all__ = ["choose_mode", "coast"]
@@ -85,14 +86,14 @@ def coast(
             )
             for lid in sorted(frontier)
         ]
-        total = sum(weight for _, weight in scored)
+        total = left_sum(weight for _, weight in scored)
         if total > 0.0:
             return _estimate(
                 [(lid, weight / total) for lid, weight in scored],
                 used_motion=True,
             )
 
-    total = sum(probability for _, probability in retained)
+    total = left_sum(probability for _, probability in retained)
     if total <= 0.0:
         # Degenerate retained set: hold the first location outright.
         return _estimate([(retained[0][0], 1.0)], used_motion=False)

@@ -446,7 +446,7 @@ class ResilientMoLocService(MoLocService):
             transition_probabilities: Optional precomputed Eq. 6 values,
                 one per candidate.
             estimate: Optional fully evaluated result (the engine's
-                posterior cache); invalid on a coasting interval.
+                batched Eq. 7 row); invalid on a coasting interval.
         """
         if not isinstance(prepared, ResilientPreparedInterval):
             raise TypeError(

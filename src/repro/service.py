@@ -339,7 +339,7 @@ class MoLocService:
             transition_probabilities: Optional precomputed Eq. 6 values,
                 one per candidate; requires ``candidates``.
             estimate: Optional fully evaluated result for this interval
-                (the engine's posterior cache); must be exactly what
+                (the engine's batched Eq. 7 row); must be exactly what
                 evaluation would have produced for this session's state.
                 Takes precedence over ``candidates``.
         """

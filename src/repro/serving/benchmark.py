@@ -358,10 +358,6 @@ def throughput_report(
                     engine.matcher.cache_misses,
                     engine.matcher.coalesced_hits,
                 ],
-                "estimate_cache": [
-                    engine.estimate_cache_hits,
-                    engine.estimate_cache_misses,
-                ],
             },
             # Machine-speed yardstick measured next to this level's
             # serves, for drift-normalized baseline comparisons.

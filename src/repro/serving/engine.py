@@ -15,22 +15,29 @@ engine multiplexes them through a single vectorized step per tick:
    users replaying the same recorded walk share the work.
 2. **match** — all prepared fingerprints stack into one ``(B, L, A)``
    tensor and reduce with a single einsum against the cached mean
-   matrix (:class:`~repro.serving.scheduler.BatchMatcher`), behind a
-   content-addressed candidate cache.
-3. **transitions** — Eq. 5/6 evaluate off the precomputed dense motion
-   tensor behind a whole-vector LRU
-   (:class:`~repro.serving.transitions.TransitionEvaluator`).
-4. **complete** — each session finishes its own interval
-   (:meth:`~repro.service.MoLocService.complete_interval`): posterior
-   fusion, retention, stride personalization, watchdogs, health — and
-   coasting sessions dispatch through the existing robustness fallback
-   chain untouched.
+   matrix; one row-wise argsort ranks them and Eq. 4 runs on the
+   ranked arrays (:class:`~repro.serving.scheduler.BatchMatcher`,
+   behind a content-addressed candidate cache).  The tick's candidate
+   sets stack into ``(B, K)`` blocks
+   (:class:`~repro.serving.fusion.TickPosteriors`).
+3. **transitions** — Eq. 5/6 for every session with a prior and a
+   motion measurement, in one pass over the ``(B, K)`` candidate ids
+   and the padded priors against the dense motion tensor
+   (:meth:`~repro.serving.transitions.TransitionEvaluator.evaluate_batch`).
+4. **complete** — Eq. 7 fuses the blocks in one pass (weights,
+   normalizer, zero-support fallback, argmax); then each session, in
+   event order, adopts its row's estimate
+   (:meth:`~repro.service.MoLocService.complete_interval` with
+   ``estimate=``): retention, stride personalization, watchdogs,
+   health — and coasting sessions dispatch through the existing
+   robustness fallback chain untouched.
 
-Every per-session computation runs through the *same* service objects
-and the *same* arithmetic as the sequential path, so the engine is
-bitwise-equivalent to calling ``service.on_interval`` per session — the
-golden-trace tests in ``tests/serving/`` assert exactly that, fault
-injection included.
+The array passes compute the sequential path's arithmetic in its order
+(see each module's equivalence notes); a row they cannot vouch for
+completes through the sequential reference path inside its own
+session's fault barrier.  The engine is therefore bitwise-equivalent to
+calling ``service.on_interval`` per session — the golden-trace tests in
+``tests/serving/`` assert exactly that, fault injection included.
 
 On top of the batching, the engine is *fault-isolated per session*: an
 exception raised while preparing or completing one session's interval
@@ -63,9 +70,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.config import MoLocConfig
 from ..core.fingerprint import FingerprintDatabase
-from ..core.matching import Candidate
 from ..core.motion_db import MotionDatabase
 from ..db.epochs import EpochSnapshot, EpochalDatabase, Update
 from ..io.serialize import fix_from_dict, fix_to_dict
@@ -83,6 +91,7 @@ from ..robustness.sanitizer import check_imu, imu_check_for
 from ..robustness.service import ResilientMoLocService, ResilientPreparedInterval
 from ..sensors.imu import ImuSegment
 from ..service import MoLocService, PrecomputedInputs, PreparedInterval
+from .fusion import TickPosteriors
 from .scheduler import BatchMatcher, MatchRequest
 from .session import QuarantinePolicy, SessionManager, SessionRecord
 from .transitions import TransitionEvaluator
@@ -221,7 +230,6 @@ class BatchedServingEngine:
             a segment object stays referenced for as long as any memo
             entry is keyed on its ``id()``, so a recycled id can never
             alias a dead key.
-        estimate_cache_size: Entries in the posterior (Eq. 7) LRU.
         metrics: Registry for the engine's own metrics (a fresh one
             when omitted).  Default-constructed matchers and transition
             evaluators get their own registries; all of them surface
@@ -251,7 +259,6 @@ class BatchedServingEngine:
         matcher: Optional[BatchMatcher] = None,
         transitions: Optional[TransitionEvaluator] = None,
         motion_memo_size: int = 4096,
-        estimate_cache_size: int = 16384,
         metrics: Optional[MetricsRegistry] = None,
         quarantine: Optional[QuarantinePolicy] = None,
         tick_budget_s: Optional[float] = None,
@@ -261,10 +268,6 @@ class BatchedServingEngine:
         if motion_memo_size < 0:
             raise ValueError(
                 f"motion_memo_size must be >= 0, got {motion_memo_size}"
-            )
-        if estimate_cache_size < 0:
-            raise ValueError(
-                f"estimate_cache_size must be >= 0, got {estimate_cache_size}"
             )
         if tick_budget_s is not None and tick_budget_s <= 0:
             raise ValueError(
@@ -311,23 +314,11 @@ class BatchedServingEngine:
         self._imu_checks: "OrderedDict[int, Tuple[bool, tuple, Optional[str]]]" = OrderedDict()
         self._motion_refs: Dict[int, ImuSegment] = {}
         self._ref_pins: Dict[int, int] = {}
-        # Posterior cache: (candidates, prior, motion, retention) fully
-        # determine the evaluated estimate, so sessions at the same
-        # phase of the same walk share one immutable result.
-        self._estimate_cache_size = estimate_cache_size
-        self._estimate_cache: "OrderedDict[tuple, object]" = OrderedDict()
         self.tracer = SpanTracer(self.metrics, prefix="engine.phase")
         self._tick_hooks: List[TickHook] = []
         self.last_hook_error: Optional[str] = None
         self._c_ticks = self.metrics.counter("engine.ticks")
         self._c_intervals = self.metrics.counter("engine.intervals")
-        self._c_est_hits = self.metrics.counter("engine.estimate_cache.hits")
-        self._c_est_misses = self.metrics.counter(
-            "engine.estimate_cache.misses"
-        )
-        self._c_est_evictions = self.metrics.counter(
-            "engine.estimate_cache.evictions"
-        )
         self._c_motion_hits = self.metrics.counter("engine.memo.motion_hits")
         self._c_motion_misses = self.metrics.counter(
             "engine.memo.motion_misses"
@@ -485,16 +476,6 @@ class BatchedServingEngine:
         self._bind_epoch(self._epochal.current)
 
     @property
-    def estimate_cache_hits(self) -> int:
-        """Intervals served straight from the posterior cache."""
-        return self._c_est_hits.value
-
-    @property
-    def estimate_cache_misses(self) -> int:
-        """Matchable intervals that evaluated Eq. 6/7 themselves."""
-        return self._c_est_misses.value
-
-    @property
     def ticks_served(self) -> int:
         """How many ticks :meth:`tick` has processed."""
         return self._c_ticks.value
@@ -521,8 +502,8 @@ class BatchedServingEngine:
 
         Keys are ``prepare`` / ``match`` / ``transitions`` /
         ``complete``; the four are disjoint and sum to (almost exactly)
-        the tick latency.  ``transitions`` is accumulated across the
-        per-session completion loop and excluded from ``complete``.
+        the tick latency.  ``transitions`` is the Eq. 6 pass, timed
+        inside the completion window and excluded from ``complete``.
         """
         return {
             name: self.tracer.last[name]
@@ -635,6 +616,19 @@ class BatchedServingEngine:
             A JSON-compatible dict (round-trips through
             :func:`repro.io.serialize.save_json`).
         """
+        return self._checkpoint()[0]
+
+    def encode_checkpoint(self) -> str:
+        """:meth:`checkpoint` as JSON text, encoded exactly once.
+
+        ``json.dumps(self.checkpoint(), sort_keys=True)`` — the string
+        the ``checkpoint.bytes`` histogram measures, handed out so a
+        durable writer need not encode the document a second time.
+        """
+        return self._checkpoint()[1]
+
+    def _checkpoint(self) -> Tuple[Dict[str, object], str]:
+        """The checkpoint document and its encoding, observed once."""
         started = time.perf_counter()
         document = {
             "format_version": (
@@ -657,7 +651,7 @@ class BatchedServingEngine:
         encoded = json.dumps(document, sort_keys=True)
         self._h_ckpt_encode.observe(time.perf_counter() - started)
         self._h_ckpt_bytes.observe(len(encoded.encode("utf-8")))
-        return document
+        return document, encoded
 
     def _session_entry(self, record: SessionRecord) -> Dict[str, object]:
         """One session's full serving state as a checkpoint entry."""
@@ -944,11 +938,11 @@ class BatchedServingEngine:
                 except Exception as error:
                     session_fault(slot, "prepare", error)
 
-        # Phase 2: one einsum for every matchable fingerprint.
+        # Phase 2: one einsum and one ranking pass for every matchable
+        # fingerprint, then the tick's candidate sets as (B, K) blocks.
         with self.tracer.span("match"):
             requests: List[MatchRequest] = []
             request_slots: List[int] = []
-            match_keys: List[Optional[tuple]] = [None] * n
             for slot, (record, prepared) in enumerate(
                 zip(records, prepared_list)
             ):
@@ -977,119 +971,68 @@ class BatchedServingEngine:
                 )
                 requests.append(request)
                 request_slots.append(slot)
-                match_keys[slot] = (
-                    request.fingerprint.rss,
-                    request.active_aps,
-                    request.k,
-                )
-            matched: List[Optional[Tuple[Candidate, ...]]] = [None] * n
-            for slot, candidates in zip(
-                request_slots, self.matcher.match_batch(requests)
-            ):
-                matched[slot] = candidates
+            rows: List[Optional[int]] = [None] * n
+            posteriors: Optional[TickPosteriors] = None
+            if requests:
+                posteriors = TickPosteriors(self.matcher.match_rows(requests))
+                for row, slot in enumerate(request_slots):
+                    rows[slot] = row
 
-        # Phases 3+4: cached Eq. 7 posteriors (cached Eq. 6 transitions
-        # on a posterior miss), then per-session completion in event
-        # order (state mutation order matches the sequential loop).
-        # Transition evaluation is interleaved with completion, so its
-        # time is accumulated here and reported as its own phase.  Once
-        # the completion loop crosses the tick deadline, remaining
-        # motion-assisted completions shed their transition evaluation
-        # and serve WiFi-only.
-        transitions_s = 0.0
+        # Phases 3+4: Eq. 6 for every row with a prior and a motion
+        # measurement, Eq. 7 for the whole block, then per-session
+        # completion in event order (state mutation order matches the
+        # sequential loop).  Once the completion loop crosses the tick
+        # deadline, remaining motion-assisted completions are shed:
+        # they adopt their row's Eq. 4-only estimate.
         complete_started = self.clock()
+        transitions_s = 0.0
+        if posteriors is not None:
+            span_started = time.perf_counter()
+            fused = self._transitions(
+                posteriors.ids,
+                posteriors.valid,
+                [(records[slot], prepared_list[slot]) for slot in request_slots],
+            )
+            transitions_s = time.perf_counter() - span_started
+            if fused is not None:
+                posteriors.fuse(*fused)
         for slot, event in enumerate(events):
             prepared = prepared_list[slot]
             if prepared is None:
                 continue
             record = records[slot]
             service = record.service
-            candidates = matched[slot]
-            match_key = match_keys[slot]
+            row = rows[slot]
             try:
                 if self.fault_injector is not None:
                     self.fault_injector("complete", event.session_id)
                 if (
                     deadline is not None
                     and prepared.motion is not None
-                    and candidates is not None
+                    and row is not None
                     and self.clock() > deadline
                 ):
                     # Over budget: serve this interval from fingerprints
-                    # alone.  Dropping the motion skips Eq. 6 transition
-                    # evaluation — the expensive part of completion —
-                    # and resilient fixes carry the DEADLINE_SHED flag
-                    # so callers know the answer is degraded, not wrong.
+                    # alone, and resilient fixes carry the DEADLINE_SHED
+                    # flag so callers know the answer is degraded, not
+                    # wrong.
                     prepared.motion = None
                     if isinstance(prepared, ResilientPreparedInterval):
                         prepared.mode = ServingMode.WIFI_ONLY
                         prepared.faults.append(FaultType.DEADLINE_SHED)
                     shed.append(event.session_id)
                     self._c_shed.inc()
-                if candidates is None:
+                estimate = (
+                    None
+                    if row is None
+                    else posteriors.estimate(
+                        row, wifi_only=prepared.motion is None
+                    )
+                )
+                if estimate is None:
                     fix = service.complete_interval(prepared)
                 else:
-                    localizer = service.localizer
-                    prior = localizer.retained_candidates
-                    motion = prepared.motion
-                    # The motion element carries the speed state: two
-                    # sessions at different estimated speeds (or dwell
-                    # verdicts) score transitions differently and must
-                    # not share a cached posterior.
-                    estimate_key = (
-                        self.epoch_id,
-                        match_key,
-                        None if prior is None else tuple(prior),
-                        (
-                            None
-                            if motion is None or prior is None
-                            else (
-                                motion.direction_deg,
-                                motion.offset_m,
-                                prepared.beta_scale,
-                                prepared.dwell,
-                            )
-                        ),
-                        localizer.retention,
-                    )
-                    cached = self._estimate_cache.get(estimate_key)
-                    if cached is not None:
-                        self._estimate_cache.move_to_end(estimate_key)
-                        self._c_est_hits.inc()
-                        fix = service.complete_interval(
-                            prepared, estimate=cached
-                        )
-                    else:
-                        self._c_est_misses.inc()
-                        transition_probabilities = None
-                        if motion is not None and prior is not None:
-                            span_started = time.perf_counter()
-                            transition_probabilities = (
-                                self.transitions.evaluate(
-                                    prior,
-                                    [c.location_id for c in candidates],
-                                    motion,
-                                    prepared.beta_scale,
-                                    prepared.dwell,
-                                )
-                            )
-                            transitions_s += (
-                                time.perf_counter() - span_started
-                            )
-                        fix = service.complete_interval(
-                            prepared,
-                            candidates=candidates,
-                            transition_probabilities=transition_probabilities,
-                        )
-                        if self._estimate_cache_size > 0:
-                            estimate = getattr(fix, "estimate", fix)
-                            self._estimate_cache[estimate_key] = estimate
-                            if (
-                                len(self._estimate_cache)
-                                > self._estimate_cache_size
-                            ):
-                                self._estimate_cache.popitem(last=False)
-                                self._c_est_evictions.inc()
+                    fix = service.complete_interval(prepared, estimate=estimate)
             except _NON_ISOLABLE:
                 raise
             except Exception as error:
@@ -1172,6 +1115,44 @@ class BatchedServingEngine:
         """
         self._tick_index -= 1
         return self.tick_detailed(events)
+
+    def _transitions(
+        self,
+        ids: np.ndarray,
+        valid: np.ndarray,
+        matched: Sequence[Tuple[SessionRecord, PreparedInterval]],
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Eq. 6 for the matched rows that carry a prior and a motion.
+
+        Returns ``(rows, values, doubtful)`` for
+        :meth:`~repro.serving.fusion.TickPosteriors.fuse`, or None when
+        no row needs Eq. 6.
+        """
+        rows: List[int] = []
+        priors: List[List[Tuple[int, float]]] = []
+        intervals: List[PreparedInterval] = []
+        for row, (record, prepared) in enumerate(matched):
+            if prepared.motion is None:
+                continue
+            prior = record.service.localizer.retained_candidates
+            if prior is None:
+                continue
+            rows.append(row)
+            priors.append(prior)
+            intervals.append(prepared)
+        if not rows:
+            return None
+        selected = np.array(rows)
+        values, doubtful = self.transitions.evaluate_batch(
+            ids[selected],
+            priors,
+            [p.motion.direction_deg for p in intervals],
+            [p.motion.offset_m for p in intervals],
+            [p.beta_scale for p in intervals],
+            [p.dwell for p in intervals],
+            end_valid=valid[selected],
+        )
+        return selected, values, doubtful
 
     # ------------------------------------------------------------------
     # Shared per-segment work

@@ -16,15 +16,25 @@ golden-trace tests assert it), and it holds by construction:
   applies — so the 3-D einsum accumulates each row in the same order as
   the sequential 2-D kernel (and the scalar 1-D kernel in
   :meth:`Fingerprint.dissimilarity`);
-* ranking uses a stable argsort, which equals the sequential
-  ``sorted(..., key=(dissimilarity, location_id))`` because matrix rows
-  are in ascending-id order;
-* Eq. 4 probabilities come from the shared
-  :func:`~repro.core.matching.candidates_from_ranked`.
+* ranking uses one stable row-wise argsort, which equals the
+  sequential ``sorted(..., key=(dissimilarity, location_id))`` because
+  matrix rows are in ascending-id order;
+* Eq. 4 runs on the ranked ``(B, K)`` arrays with the arithmetic of
+  :func:`~repro.core.matching.candidates_from_ranked`: the same
+  element-wise inverse and division, and a left-to-right row sum
+  (:func:`~repro.numeric.left_sum_rows`) for the normalizer.
 
 Batches bucket by active-AP mask: requests sharing a mask share a
 tensor.  Distinct ``k`` values within a bucket are fine — ``k`` only
-affects the per-row ranking prefix.
+affects the per-row ranking prefix; shorter rows are padded with
+probability 0, which leaves the left-to-right normalizer unchanged.
+
+:meth:`BatchMatcher.match_rows` returns each request's result as a
+:class:`CandidateRow` — the ids, dissimilarities and Eq. 4
+probabilities as read-only arrays — which the engine stacks into
+``(B, K)`` blocks for Eq. 6/7 without building a ``Candidate`` object.
+:meth:`BatchMatcher.match_batch` is the object view of the same rows:
+each row's ``Candidate`` tuple, built from those arrays on first use.
 
 A content-addressed LRU cache fronts the matcher: the candidate set is
 a pure function of ``(scan, mask, k)``, so sessions replaying the same
@@ -32,29 +42,61 @@ recorded walk (the standard load-test workload, and a real pattern —
 popular routes produce near-identical scan sequences) skip the matrix
 work entirely.  Two hardening rules on the cache:
 
-* **Entries are immutable.**  Candidate sets are stored and returned as
-  tuples — the cache hands the same object to every caller, so a
-  mutable list would let one caller's in-place edit corrupt every later
-  hit.
+* **Entries are immutable.**  Rows hold read-only arrays and hand out
+  their candidates as a tuple — the cache gives the same object to
+  every caller, so a mutable container would let one caller's in-place
+  edit corrupt every later hit.
 * **Duplicates within one batch coalesce.**  N requests with the same
-  key in one ``match_batch`` call compute (and store) exactly one row;
-  the duplicates are counted as ``coalesced_hits`` rather than paying
-  N einsum rows and N stores for one key.
+  key in one call compute (and store) exactly one row; the duplicates
+  are counted as ``coalesced_hits`` rather than paying N einsum rows
+  and N stores for one key.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.fingerprint import Fingerprint, FingerprintDatabase
-from ..core.matching import Candidate, candidates_from_ranked
+from ..core.matching import _EXACT_MATCH_EPSILON, Candidate
+from ..numeric import left_sum_rows
 from ..observability import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 
-__all__ = ["MatchRequest", "BatchMatcher"]
+__all__ = ["CandidateRow", "MatchRequest", "BatchMatcher"]
+
+
+@dataclass(frozen=True, eq=False)
+class CandidateRow:
+    """One request's Eq. 3/4 result, as read-only arrays.
+
+    Attributes:
+        ids: The k nearest location ids, nearest first.
+        dissimilarities: Their dissimilarities ``m_i`` (Eq. 3).
+        probabilities: Their Eq. 4 probabilities.
+    """
+
+    ids: np.ndarray
+    dissimilarities: np.ndarray
+    probabilities: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @cached_property
+    def candidates(self) -> Tuple[Candidate, ...]:
+        """The row as the sequential matcher's ``Candidate`` tuple."""
+        return tuple(
+            map(
+                Candidate,
+                self.ids.tolist(),
+                self.dissimilarities.tolist(),
+                self.probabilities.tolist(),
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -94,9 +136,9 @@ class BatchMatcher:
         if cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
         self._db = database
-        self._ids = database.matrix_ids
+        self._ids = np.asarray(database.matrix_ids, dtype=np.int64)
         self._cache_size = cache_size
-        self._cache: "OrderedDict[tuple, Tuple[Candidate, ...]]" = OrderedDict()
+        self._cache: "OrderedDict[tuple, CandidateRow]" = OrderedDict()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._c_hits = self.metrics.counter("matcher.cache_hits")
         self._c_misses = self.metrics.counter("matcher.cache_misses")
@@ -135,14 +177,30 @@ class BatchMatcher:
     ) -> List[Tuple[Candidate, ...]]:
         """Candidates for every request, in request order.
 
+        :meth:`match_rows` as ``Candidate`` tuples.  The tuples are
+        immutable — the same object may be shared between callers and
+        with the cache.
+
+        Raises:
+            ValueError: for a request with ``k < 1``.
+        """
+        return [row.candidates for row in self.match_rows(requests)]
+
+    def match_rows(
+        self, requests: Sequence[MatchRequest]
+    ) -> List[CandidateRow]:
+        """Each request's ranked candidates as arrays, in request order.
+
         Cache hits are filled immediately; misses are deduplicated by
         key (identical requests in one batch share a single computed
-        row), bucketed by mask, and resolved with one einsum per bucket.
-        The returned candidate sets are immutable tuples — the same
-        object may be shared between callers and with the cache.
+        row), bucketed by mask, and resolved with one einsum and one
+        ranking pass per bucket.
+
+        Raises:
+            ValueError: for a request with ``k < 1``.
         """
         self._c_batches.inc()
-        results: List[Optional[Tuple[Candidate, ...]]] = [None] * len(requests)
+        results: List[Optional[CandidateRow]] = [None] * len(requests)
         buckets: Dict[
             Optional[Tuple[bool, ...]], List[Tuple[MatchRequest, tuple]]
         ] = {}
@@ -164,15 +222,15 @@ class BatchMatcher:
             buckets.setdefault(request.active_aps, []).append((request, key))
         self._h_buckets.observe(len(buckets))
         for mask, pending in buckets.items():
-            rows = self._distances(
+            distances = self._distances(
                 [request.fingerprint for request, _ in pending], mask
             )
             self._c_rows.inc(len(pending))
-            for (request, key), distances in zip(pending, rows):
-                candidates = self._rank(distances, request.k)
-                self._store(key, candidates)
+            ks = [request.k for request, _ in pending]
+            for (_, key), row in zip(pending, self._rank(distances, ks)):
+                self._store(key, row)
                 for slot in pending_slots[key]:
-                    results[slot] = candidates
+                    results[slot] = row
         return results  # type: ignore[return-value]
 
     def match_one(self, request: MatchRequest) -> Tuple[Candidate, ...]:
@@ -186,22 +244,22 @@ class BatchMatcher:
     def _key(self, request: MatchRequest) -> tuple:
         return (request.fingerprint.rss, request.active_aps, request.k)
 
-    def _lookup(self, key: tuple) -> Optional[Tuple[Candidate, ...]]:
+    def _lookup(self, key: tuple) -> Optional[CandidateRow]:
         if self._cache_size == 0:
             self._c_misses.inc()
             return None
-        candidates = self._cache.get(key)
-        if candidates is None:
+        row = self._cache.get(key)
+        if row is None:
             self._c_misses.inc()
             return None
         self._cache.move_to_end(key)
         self._c_hits.inc()
-        return candidates
+        return row
 
-    def _store(self, key: tuple, candidates: Tuple[Candidate, ...]) -> None:
+    def _store(self, key: tuple, row: CandidateRow) -> None:
         if self._cache_size == 0:
             return
-        self._cache[key] = candidates
+        self._cache[key] = row
         if len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)
             self._c_evictions.inc()
@@ -219,14 +277,34 @@ class BatchMatcher:
             diff = np.ascontiguousarray(diff[:, :, mask_array])
         return np.sqrt(np.einsum("bij,bij->bi", diff, diff))
 
-    def _rank(self, distances: np.ndarray, k: int) -> Tuple[Candidate, ...]:
-        """Top-``k`` ranking identical to the sequential sort.
+    def _rank(
+        self, distances: np.ndarray, ks: Sequence[int]
+    ) -> List[CandidateRow]:
+        """Eq. 3/4 for a ``(B, L)`` distance block, one row per request.
 
         Rows are in ascending-id order, so a stable argsort on distance
-        equals sorting by ``(distance, location_id)``.
+        equals sorting by ``(distance, location_id)``.  Row ``b`` keeps
+        its ``min(ks[b], L)`` nearest; Eq. 4 then runs on the ranked
+        block exactly as
+        :func:`~repro.core.matching.candidates_from_ranked` runs on one
+        list.
         """
-        if k < 1:
-            raise ValueError(f"candidate set size k must be >= 1, got {k}")
-        order = np.argsort(distances, kind="stable")[: min(k, len(self._ids))]
-        ranked = [(self._ids[i], float(distances[i])) for i in order]
-        return tuple(candidates_from_ranked(ranked))
+        for k in ks:
+            if k < 1:
+                raise ValueError(
+                    f"candidate set size k must be >= 1, got {k}"
+                )
+        lengths = np.minimum(np.asarray(ks), distances.shape[1])
+        width = int(lengths.max())
+        order = np.argsort(distances, axis=1, kind="stable")[:, :width]
+        ranked = distances[np.arange(len(distances))[:, np.newaxis], order]
+        inverse = 1.0 / np.maximum(ranked, _EXACT_MATCH_EPSILON)
+        inverse[np.arange(width) >= lengths[:, np.newaxis]] = 0.0
+        probabilities = inverse / left_sum_rows(inverse)[:, np.newaxis]
+        ids = self._ids[order]
+        for block in (ids, ranked, probabilities):
+            block.setflags(write=False)
+        return [
+            CandidateRow(ids[b, :k], ranked[b, :k], probabilities[b, :k])
+            for b, k in enumerate(lengths.tolist())
+        ]
