@@ -147,11 +147,8 @@ def _shard_main(conn: object, spec_json: str) -> None:
                 break
             reply = worker.handle_line(line)
             conn.send_bytes(reply.encode("utf-8"))
-            try:
-                if decode_message(line).get("op") == "shutdown":
-                    break
-            except ClusterWireError:
-                continue
+            if worker.shut_down:
+                break
     finally:
         worker.close()
 

@@ -13,11 +13,15 @@ calls it from a spawned child's receive loop, and because both push
 every message through the same encode/decode pair, the in-process
 transport is an honest double for the multiprocess one.
 
-Durability discipline (the same one PR 4's kill-at-every-tick test
-proves exact):
+Durability discipline (the same one the engine-level kill-at-every-tick
+test proves exact):
 
-* every ``tick`` request's events are appended to the WAL *before*
-  serving, so a crash mid-tick loses no input;
+* every ``tick`` request is appended to the WAL *before* serving, so a
+  crash mid-tick loses no input.  The record is the request line the
+  worker received, byte for byte (a dict handed to
+  :meth:`ShardWorker.handle` is encoded once for it), so events reach
+  the log without a second encode.  It is logged only after the tick
+  index and events validate, so a refused tick leaves no record;
 * the checkpoint file is rewritten (atomically: temp file + ``rename``)
   after every membership change — session admission, migration handoff,
   restore — *before* the response is sent, and every
@@ -36,26 +40,29 @@ routes that request through
 answers every sequenced event idempotently from the duplicate cache
 without advancing the durable tick index — bitwise the same fixes,
 no timeline drift.
+
+Observability: every tick request observes ``shard.decode_s`` (request
+line to validated events) and every logged tick ``shard.wal_append_s``
+(the durable append) into the engine's registry, which the ``metrics``
+op returns.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections import OrderedDict
+import time
 from pathlib import Path
 from typing import Callable, Dict, List
 
 from ..db.epochs import EpochSnapshot, update_from_dict
-from ..io.serialize import imu_segment_from_dict
-from ..sensors.imu import ImuSegment
 from ..serving.checkpoint import (
     WriteAheadLog,
     event_from_dict,
     recover_engine,
 )
 from ..serving.clock import LogicalClock
-from ..serving.engine import BatchedServingEngine
+from ..serving.engine import BatchedServingEngine, require_distinct_sessions
 from ..service import MoLocService
 from .bootstrap import build_engine
 from .messages import (
@@ -65,51 +72,7 @@ from .messages import (
     outcome_to_dict,
 )
 
-__all__ = ["SegmentInternPool", "ShardWorker"]
-
-
-class SegmentInternPool:
-    """Content-addressed rebuild cache for wire-decoded IMU segments.
-
-    The engine's cross-session motion memos key on segment *identity*
-    (:meth:`~repro.serving.engine.BatchedServingEngine._precompute`):
-    in one process, sessions replaying the same recorded walk share
-    literal segment objects, so one step-count and heading extraction
-    serves them all.  Naive JSON decoding breaks that — every event
-    gets a fresh object and the memos never hit, which is why an
-    uninterned 1-shard cluster burns several times the single engine's
-    CPU on identical batches.  The pool rebuilds each distinct payload
-    once and hands every repeat the same object; keyed by the payload's
-    canonical encoding, so only bit-identical segments are ever shared.
-
-    Args:
-        size: LRU entry cap (0 disables interning entirely; every call
-            then decodes fresh).
-    """
-
-    def __init__(self, size: int = 4096) -> None:
-        if size < 0:
-            raise ValueError(f"size must be >= 0, got {size}")
-        self._size = size
-        self._segments: "OrderedDict[str, ImuSegment]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._segments)
-
-    def rebuild(self, payload: Dict[str, object]) -> ImuSegment:
-        """The one shared segment for this payload (decoding on a miss)."""
-        if self._size == 0:
-            return imu_segment_from_dict(payload)
-        key = json.dumps(payload, sort_keys=True)
-        segment = self._segments.get(key)
-        if segment is not None:
-            self._segments.move_to_end(key)
-            return segment
-        segment = imu_segment_from_dict(payload)
-        if len(self._segments) >= self._size:
-            self._segments.popitem(last=False)
-        self._segments[key] = segment
-        return segment
+__all__ = ["ShardWorker"]
 
 
 class ShardWorker:
@@ -120,6 +83,10 @@ class ShardWorker:
             worker recovers itself from the spec's checkpoint file and
             WAL when the checkpoint file exists (a respawn); otherwise
             it starts empty (first boot).
+
+    Attributes:
+        shut_down: True once a ``shutdown`` request has been answered
+            (the process transport's receive loop exits on it).
     """
 
     def __init__(self, spec: Dict[str, object]) -> None:
@@ -127,12 +94,14 @@ class ShardWorker:
         self.shard_id: str = spec["shard_id"]
         self._checkpoint_path = Path(spec["checkpoint_path"])
         self._checkpoint_every = int(spec["checkpoint_every"])
-        self._segments = SegmentInternPool()
         self._staged_epoch: "EpochSnapshot | None" = None
         engine, make_service = build_engine(spec)
         self.engine: BatchedServingEngine = engine
+        self._h_decode = engine.metrics.histogram("shard.decode_s")
+        self._h_wal_append = engine.metrics.histogram("shard.wal_append_s")
         self._make_service: Callable[[str], MoLocService] = make_service
         self.recovered_ticks = 0
+        self.shut_down = False
         self.recovered = self._checkpoint_path.exists()
         self.wal = WriteAheadLog(spec["wal_path"], fsync=bool(spec["fsync"]))
         if self.recovered:
@@ -178,11 +147,16 @@ class ShardWorker:
         Errors — malformed messages, unknown ops, engine rejections —
         come back as ``{"ok": false, "error": ...}`` responses, so a
         bad request cannot take the worker (and every session it
-        hosts) down with it.
+        hosts) down with it.  A ``tick`` line is handed through to the
+        tick handler, which logs it verbatim as the WAL record.
         """
         try:
+            started_s = time.perf_counter()
             request = decode_message(line)
-            response = self.handle(request)
+            if request.get("op") == "tick":
+                response = self._handle_tick(request, line, started_s)
+            else:
+                response = self.handle(request)
         except Exception as error:  # noqa: BLE001 - the loop must survive
             response = {"ok": False, "error": repr(error)}
         return encode_message(response)
@@ -210,7 +184,9 @@ class ShardWorker:
             self.write_checkpoint()
             return {"ok": True}
         if op == "tick":
-            return self._handle_tick(request)
+            # No received line to log: encode the request once for it.
+            line = encode_message(request)
+            return self._handle_tick(request, line, time.perf_counter())
         if op == "handoff":
             return self._handle_handoff(request)
         if op == "restore":
@@ -256,6 +232,7 @@ class ShardWorker:
                 self._staged_epoch = None
             return {"ok": True, "epoch": self.engine.epoch_id}
         if op == "shutdown":
+            self.shut_down = True
             return {"ok": True, "bye": True}
         raise ClusterWireError(f"unknown cluster op {op!r}")
 
@@ -347,12 +324,15 @@ class ShardWorker:
         self.write_checkpoint()
         return {"ok": True, "epoch": self.engine.epoch_id}
 
-    def _handle_tick(self, request: Dict[str, object]) -> Dict[str, object]:
+    def _handle_tick(
+        self, request: Dict[str, object], line: str, started_s: float
+    ) -> Dict[str, object]:
+        """Validate, log ``line`` verbatim, then serve one tick request
+        (``started_s``: ``time.perf_counter()`` when decoding began)."""
         tick = int(request["tick"])
-        events = [
-            event_from_dict(entry, imu_from_dict=self._segments.rebuild)
-            for entry in request["events"]
-        ]
+        events = [event_from_dict(entry) for entry in request["events"]]
+        require_distinct_sessions(events)
+        self._h_decode.observe(time.perf_counter() - started_s)
         current = self.engine.tick_index
         if tick == current:
             # The coordinator is re-delivering the tick this worker (or
@@ -361,7 +341,12 @@ class ShardWorker:
             outcome = self.engine.replay_tick(events)
             replayed = True
         elif tick == current + 1:
-            self.wal.append(tick, events)
+            # The line is a WAL tick record as it stands: the wire's
+            # {"v": 1} is also WAL_FORMAT_VERSION, so a wire version
+            # bump must teach WriteAheadLog.records the new one.
+            appended_s = time.perf_counter()
+            self.wal.append_line(line)
+            self._h_wal_append.observe(time.perf_counter() - appended_s)
             outcome = self.engine.tick_detailed(events)
             replayed = False
             if self._checkpoint_every and tick % self._checkpoint_every == 0:

@@ -5,7 +5,7 @@ Two pieces make serving kill-anywhere recoverable:
 * :meth:`~repro.serving.engine.BatchedServingEngine.checkpoint` — a
   point-in-time snapshot of every session's full state (see the method
   for what is and is not carried);
-* the :class:`WriteAheadLog` here — every tick's events, serialized and
+* the :class:`WriteAheadLog` here — every tick's events, one JSON line
   flushed to disk *before* the tick is served.
 
 Recovery (:func:`recover_engine`) loads the newest checkpoint into a
@@ -34,7 +34,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 from ..db.epochs import Update, update_from_dict, update_to_dict
 from ..io.serialize import imu_segment_from_dict, imu_segment_to_dict
-from ..sensors.imu import ImuSegment
 from ..service import MoLocService
 from .engine import BatchedServingEngine, IntervalEvent
 
@@ -61,21 +60,11 @@ def event_to_dict(event: IntervalEvent) -> Dict[str, object]:
     }
 
 
-def event_from_dict(
-    payload: Dict[str, object],
-    imu_from_dict: Callable[
-        [Dict[str, object]], ImuSegment
-    ] = imu_segment_from_dict,
-) -> IntervalEvent:
+def event_from_dict(payload: Dict[str, object]) -> IntervalEvent:
     """Rebuild an interval event written by :func:`event_to_dict`.
 
-    Args:
-        payload: The serialized event.
-        imu_from_dict: How to rebuild the IMU payload.  The default
-            decodes a fresh segment; a decoder that *interns* repeated
-            payloads (:class:`~repro.cluster.worker.SegmentInternPool`)
-            preserves the object sharing the engine's identity-keyed
-            motion memos rely on.
+    Every call decodes a fresh IMU segment, so the engine's
+    identity-keyed motion/IMU memos never hit across a decode boundary.
     """
     scan = payload["scan"]
     imu = payload["imu"]
@@ -83,7 +72,7 @@ def event_from_dict(
     return IntervalEvent(
         session_id=payload["session_id"],
         scan=None if scan is None else [float(v) for v in scan],
-        imu=None if imu is None else imu_from_dict(imu),
+        imu=None if imu is None else imu_segment_from_dict(imu),
         sequence=None if sequence is None else int(sequence),
     )
 
@@ -91,16 +80,19 @@ def event_from_dict(
 class WriteAheadLog:
     """An append-only, per-tick event log (JSON lines).
 
-    Usage discipline: call :meth:`append` with a tick's events *before*
-    handing them to the engine.  Then a crash mid-tick loses no input —
-    on recovery the logged events replay against the last checkpoint
-    and the interrupted tick simply runs again.
+    Usage discipline: log a tick's events *before* handing them to the
+    engine.  Then a crash mid-tick loses no input — on recovery the
+    logged events replay against the last checkpoint and the
+    interrupted tick simply runs again.
 
-    Each line is one tick:
-    ``{"v": 1, "tick": <index>, "events": [...]}`` where ``tick`` is
-    the engine tick index the events were served under (1-based,
-    matching :attr:`~repro.serving.engine.BatchedServingEngine.tick_index`
-    after the tick).
+    A tick record is a line ``{"v": 1, "tick": <index>, "events":
+    [...]}``; replay ignores further keys, so a shard worker logs the
+    cluster ``tick`` request line it received (which adds ``"op"``)
+    as it stands.  ``tick`` is the engine tick index the events were
+    served under (1-based, matching
+    :attr:`~repro.serving.engine.BatchedServingEngine.tick_index`
+    after the tick).  Epoch-flip records carry ``"epoch"`` instead of
+    ``"events"``.
 
     Args:
         path: The log file; created (with parents) if missing, appended
@@ -163,22 +155,34 @@ class WriteAheadLog:
         """The log file."""
         return self._path
 
-    def append(
-        self, tick_index: int, events: Sequence[IntervalEvent]
-    ) -> None:
-        """Durably log one tick's events (call before serving them)."""
-        line = json.dumps(
-            {
-                "v": WAL_FORMAT_VERSION,
-                "tick": tick_index,
-                "events": [event_to_dict(event) for event in events],
-            },
-            sort_keys=True,
-        )
+    def append_line(self, line: str) -> None:
+        """Durably log one encoded record verbatim (the single writer).
+
+        Raises:
+            ValueError: if ``line`` holds ``"\\n"`` or ``"\\r"`` (JSON
+                whitespace, but either splits the record into lines
+                :meth:`records` cannot replay).  Nothing is written.
+        """
+        if "\n" in line or "\r" in line:
+            raise ValueError(
+                "WAL record contains a line break; refusing to log a "
+                "record that would not replay as one line"
+            )
         self._handle.write(line + "\n")
         self._handle.flush()
         if self._fsync:
             os.fsync(self._handle.fileno())
+
+    def append(
+        self, tick_index: int, events: Sequence[IntervalEvent]
+    ) -> None:
+        """Durably log one tick's events (call before serving them)."""
+        record = {
+            "v": WAL_FORMAT_VERSION,
+            "tick": tick_index,
+            "events": [event_to_dict(event) for event in events],
+        }
+        self.append_line(json.dumps(record, sort_keys=True))
 
     def append_epoch(
         self,
@@ -195,22 +199,16 @@ class WriteAheadLog:
         cluster.  Only epochal deployments ever write these lines; a
         pre-epoch WAL stays byte-stable.
         """
-        line = json.dumps(
-            {
-                "v": WAL_FORMAT_VERSION,
-                "tick": tick_index,
-                "epoch": {
-                    "target": target_epoch,
-                    "checksum": checksum,
-                    "updates": [update_to_dict(u) for u in updates],
-                },
+        record = {
+            "v": WAL_FORMAT_VERSION,
+            "tick": tick_index,
+            "epoch": {
+                "target": target_epoch,
+                "checksum": checksum,
+                "updates": [update_to_dict(u) for u in updates],
             },
-            sort_keys=True,
-        )
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
+        }
+        self.append_line(json.dumps(record, sort_keys=True))
 
     def close(self) -> None:
         """Close the underlying file handle."""
@@ -265,14 +263,14 @@ class WriteAheadLog:
                     f"unsupported WAL version {version} "
                     f"(supported: {WAL_FORMAT_VERSION})"
                 )
-            if "epoch" in payload:
-                yield "epoch", int(payload["tick"]), payload["epoch"]
-            else:
+            if "events" in payload:
                 yield (
                     "tick",
                     int(payload["tick"]),
                     [event_from_dict(entry) for entry in payload["events"]],
                 )
+            else:
+                yield "epoch", int(payload["tick"]), payload["epoch"]
 
     def replay(self) -> Iterator[Tuple[int, List[IntervalEvent]]]:
         """Yield every logged tick as ``(tick_index, events)``.

@@ -101,6 +101,7 @@ __all__ = [
     "SessionFault",
     "TickOutcome",
     "BatchedServingEngine",
+    "require_distinct_sessions",
     "CHECKPOINT_FORMAT_VERSION",
     "EPOCHAL_CHECKPOINT_FORMAT_VERSION",
 ]
@@ -145,6 +146,23 @@ class IntervalEvent:
     scan: Optional[Sequence[float]]
     imu: Optional[ImuSegment] = None
     sequence: Optional[int] = None
+
+
+def require_distinct_sessions(events: Sequence[IntervalEvent]) -> None:
+    """Raise ValueError if two events name one session.
+
+    A session's interval N+1 depends on N's completed state.  Run before
+    anything durable moves (the engine's tick index, a shard's WAL
+    record), so a refused tick leaves no trace to replay.
+    """
+    seen = set()
+    for event in events:
+        if event.session_id in seen:
+            raise ValueError(
+                f"session {event.session_id!r} appears twice in one "
+                "tick; intervals of one session are sequential"
+            )
+        seen.add(event.session_id)
 
 
 @dataclass(frozen=True)
@@ -829,6 +847,7 @@ class BatchedServingEngine:
         answered idempotently, dropped as stale or unroutable, shed to
         the fast path, or evicted.
         """
+        require_distinct_sessions(events)
         tick_started = self.clock()
         self._tick_index += 1
         tick_index = self._tick_index
@@ -837,14 +856,6 @@ class BatchedServingEngine:
             if self.tick_budget_s is None
             else tick_started + self.tick_budget_s
         )
-        seen = set()
-        for event in events:
-            if event.session_id in seen:
-                raise ValueError(
-                    f"session {event.session_id!r} appears twice in one "
-                    "tick; intervals of one session are sequential"
-                )
-            seen.add(event.session_id)
 
         n = len(events)
         fixes: List[object] = [None] * n
@@ -1112,7 +1123,12 @@ class BatchedServingEngine:
         tick ahead of the rest of the cluster for good.  This method
         serves the batch with the same semantics and leaves
         :attr:`tick_index` where it was.
+
+        Raises:
+            ValueError: for two events naming the same session (the
+                index is left unchanged).
         """
+        require_distinct_sessions(events)
         self._tick_index -= 1
         return self.tick_detailed(events)
 

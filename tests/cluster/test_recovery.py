@@ -211,7 +211,6 @@ def test_engine_harness_counts_worker_kill_as_skipped(world):
     assert counters["chaos.injected.worker-kill"] == 0
 
 
-@pytest.mark.slow
 def test_process_shard_sigkill_recovers_bitwise(
     world, baseline_fixes, tmp_path
 ):

@@ -9,9 +9,10 @@ coordinator's checksums, so the wire itself is inside the bitwise gate.
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
-from cluster_helpers import checksums, make_shards
+from cluster_helpers import checksums, events_of, make_shards
 from repro.cluster import (
     ClusterCoordinator,
     encode_message,
@@ -24,9 +25,12 @@ from repro.ingress import (
     lockstep_fix_streams,
     replay_schedule,
 )
+from repro.cluster.core import ShardTicker
 from repro.ingress.loops import event_of
+from repro.io import serialize as serialize_module
 from repro.io.serialize import fix_from_dict
 from repro.serving import build_session_services, fix_stream_checksum
+from repro.serving import checkpoint as checkpoint_module
 from repro.serving.checkpoint import event_to_dict
 from repro.sim.evaluation import open_loop_schedule
 
@@ -437,3 +441,75 @@ class TestReplayClient:
         assert all(
             reply["status"] == "served" for reply in replies if reply["ok"]
         )
+
+
+class TestEncodeOnce:
+    def test_imu_segment_is_encoded_once_per_event(
+        self, world, tmp_path, monkeypatch
+    ):
+        """Between the client's line and the engine, only the shard tick
+        request encodes an event's IMU segment: the ingress and the
+        worker decode it, and the worker logs the line it received."""
+        ticks = [events_of(tick) for tick in world[3].ticks[:4]]
+        lines = [
+            [
+                encode_message(
+                    {
+                        "op": "serve",
+                        "id": f"{index}-{slot}",
+                        "event": event_to_dict(event),
+                    }
+                )
+                for slot, event in enumerate(events)
+            ]
+            for index, events in enumerate(ticks)
+        ]
+        with_imu = sum(
+            event.imu is not None for events in ticks for event in events
+        )
+        assert with_imu > 0
+        calls = {"send": 0, "elsewhere": 0}
+        sending = threading.local()
+        encode = serialize_module.imu_segment_to_dict
+        send = ShardTicker.send
+
+        def counting_encode(segment):
+            where = "send" if getattr(sending, "active", False) else "elsewhere"
+            calls[where] += 1
+            return encode(segment)
+
+        def marked_send(ticker, events):
+            sending.active = True
+            try:
+                return send(ticker, events)
+            finally:
+                sending.active = False
+
+        async def client(server):
+            monkeypatch.setattr(
+                checkpoint_module, "imu_segment_to_dict", counting_encode
+            )
+            monkeypatch.setattr(
+                serialize_module, "imu_segment_to_dict", counting_encode
+            )
+            monkeypatch.setattr(ShardTicker, "send", marked_send)
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(host, port)
+            replies = []
+            # One tick's events at a time: a batch may hold at most one
+            # event per session.
+            for tick_lines in lines:
+                for line in tick_lines:
+                    writer.write((line + "\n").encode())
+                await writer.drain()
+                for _ in tick_lines:
+                    line = await asyncio.wait_for(reader.readline(), 30.0)
+                    replies.append(decode_message(line.decode()))
+            writer.close()
+            return replies
+
+        config = IngressConfig(batch_window_s=0.01, max_batch=None)
+        replies = run_server(world, tmp_path, 1, config, client)
+
+        assert all(reply["status"] == "served" for reply in replies), replies
+        assert calls == {"send": with_imu, "elsewhere": 0}
